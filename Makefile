@@ -122,13 +122,15 @@ cover:
 	check ./internal/fleet/ fleet 85.0; \
 	check ./internal/store/ store 75.0
 
-# Delta-sweep perf gate (E22): the engine's event-log replay must keep
-# a daily-grid evolution sweep >= 10x faster than the legacy
-# rebuild-per-date path, with identical points. Same-process ratio, so
-# it holds on any runner; absolute numbers are recorded in
-# BENCH_*.json.
+# Engine perf gates. Delta sweep (E22): the engine's event-log replay
+# must keep a daily-grid evolution sweep >= 10x faster than the legacy
+# rebuild-per-date path, with identical points. Memo hit (E18): a hit
+# on a primed engine costs <= 20 allocs (one header copy of the shared
+# network plus the key), not a deep copy. Same-process ratio and count,
+# so both hold on any runner; absolute numbers are recorded in
+# BENCH_*.json and EXPERIMENTS.md.
 bench-gate:
-	$(GO) test -run 'TestDeltaSweepBudget' -v .
+	$(GO) test -run 'TestDeltaSweepBudget|TestSnapshotHitAllocs' -v .
 
 # Short fuzz pass over the bulk parsers. The lenient reader must never
 # panic, must always produce a report, and must only load licenses the

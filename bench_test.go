@@ -280,7 +280,7 @@ func BenchmarkEngineEvolutionUncached(b *testing.B) {
 }
 
 // BenchmarkEngineEvolutionCached is the same workload through one
-// primed engine: every snapshot is a memo hit served as a clone. The
+// primed engine: every snapshot is a memo hit on the shared network. The
 // reported hits/rebuilds metrics prove the reuse.
 func BenchmarkEngineEvolutionCached(b *testing.B) {
 	db := corpus(b)
@@ -297,7 +297,8 @@ func BenchmarkEngineEvolutionCached(b *testing.B) {
 }
 
 // BenchmarkEngineSnapshotHit measures a single cache-hit snapshot —
-// the memo lookup plus the clone-on-return deep copy.
+// the memo lookup plus the one header copy that carries the request
+// date. TestSnapshotHitAllocs gates its allocation count.
 func BenchmarkEngineSnapshotHit(b *testing.B) {
 	db := corpus(b)
 	eng := NewEngine(db)

@@ -7,6 +7,7 @@ import (
 
 	"hftnetview/internal/core"
 	"hftnetview/internal/report"
+	"hftnetview/internal/sites"
 )
 
 // TestDeltaSweepBudget is the delta path's performance gate (E22): a
@@ -65,4 +66,41 @@ func TestDeltaSweepBudget(t *testing.T) {
 	}
 	t.Logf("daily sweep %d dates: full rebuild %v, delta %v (%.0fx, %d rebuilds, %d events replayed)",
 		len(dates), full, delta, float64(full)/float64(delta), st.Rebuilds, st.EventsReplayed)
+}
+
+// TestSnapshotHitAllocs is the memo-hit allocation gate: a hit on a
+// primed engine canonicalizes the request key and copies the shared
+// network's header to carry the request date, and nothing else — the
+// towers, links and graph are shared read-only, so the cost does not
+// grow with the network. A hit that allocates more than the ceiling
+// means a per-hit deep copy (or similar) crept back in. The count is
+// same-process and deterministic, so it holds on any runner.
+func TestSnapshotHitAllocs(t *testing.T) {
+	const ceiling = 20
+	db, err := GenerateCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(db)
+	req := SnapshotRequest{
+		Licensees: []string{"Webline Holdings"},
+		Date:      Snapshot(),
+		DCs:       sites.All,
+		Opts:      DefaultOptions(),
+	}
+	if _, err := eng.Snapshot(req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := eng.Snapshot(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := eng.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("rebuilds = %d, want 1: the measured calls were not memo hits", st.Rebuilds)
+	}
+	if allocs > ceiling {
+		t.Fatalf("memo hit costs %.0f allocs, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("memo hit: %.0f allocs (ceiling %d)", allocs, ceiling)
 }

@@ -70,7 +70,8 @@ type (
 	// Engine is the shared, concurrent, memoized snapshot layer: it
 	// reconstructs each distinct (licensee set, date, data-center set,
 	// options) snapshot at most once per database generation and serves
-	// deep clones from its memo store. Create one with NewEngine.
+	// the memoized network itself, shared read-only by every caller.
+	// Create one with NewEngine.
 	Engine = engine.Engine
 	// EngineStats are the engine's hit/miss/coalesce/rebuild counters.
 	EngineStats = engine.Stats

@@ -131,9 +131,6 @@ func (n *Network) BoundedPaths(path sites.Path) (BoundedPathSet, bool) {
 
 	for eid, li := range n.mwEdge {
 		e := n.g.Edge(eid)
-		if e.Disabled {
-			continue
-		}
 		if simpleVia(e.A, e.B, e.Weight) || simpleVia(e.B, e.A, e.Weight) {
 			set.LinkIndexes = append(set.LinkIndexes, li)
 		}

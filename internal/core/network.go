@@ -93,7 +93,9 @@ type FiberTail struct {
 	Latency      units.Latency
 }
 
-// Network is one licensee's reconstructed network as of a date.
+// Network is one licensee's reconstructed network as of a date. It is
+// never modified after reconstruction returns, so one *Network (graph
+// included) is safe to share across any number of concurrent readers.
 type Network struct {
 	Licensee string
 	Date     uls.Date
@@ -324,40 +326,6 @@ func mergeFrequencies(a, b []float64) []float64 {
 	return dedup
 }
 
-// Clone returns a deep copy of the network: mutating the clone's
-// towers, links, fiber tails, or graph (directly or through analyses
-// that temporarily disable edges, like APA and storm routing) leaves
-// the receiver untouched. The snapshot engine hands out clones so its
-// cached reconstructions stay pristine.
-func (n *Network) Clone() *Network {
-	c := *n
-	c.Towers = append([]Tower(nil), n.Towers...)
-	c.Links = append([]Link(nil), n.Links...)
-	for i := range c.Links {
-		c.Links[i].FrequenciesMHz = append([]float64(nil), n.Links[i].FrequenciesMHz...)
-	}
-	c.Fiber = append([]FiberTail(nil), n.Fiber...)
-	c.g = n.g.Clone()
-	c.towerID = append([]graph.NodeID(nil), n.towerID...)
-	c.nodeTower = make(map[graph.NodeID]int, len(n.nodeTower))
-	for k, v := range n.nodeTower {
-		c.nodeTower[k] = v
-	}
-	c.dcID = make(map[string]graph.NodeID, len(n.dcID))
-	for k, v := range n.dcID {
-		c.dcID[k] = v
-	}
-	c.mwEdge = make(map[graph.EdgeID]int, len(n.mwEdge))
-	for k, v := range n.mwEdge {
-		c.mwEdge[k] = v
-	}
-	c.fbEdge = make(map[graph.EdgeID]int, len(n.fbEdge))
-	for k, v := range n.fbEdge {
-		c.fbEdge[k] = v
-	}
-	return &c
-}
-
 // Route is an end-to-end lowest-latency path through a network.
 type Route struct {
 	Path sites.Path
@@ -385,12 +353,18 @@ func (r Route) HopCount() int { return len(r.LinkIndexes) }
 // of light in air and fiber (§2.3). ok is false when no end-to-end path
 // exists on the reconstruction date.
 func (n *Network) BestRoute(path sites.Path) (Route, bool) {
+	return n.bestRouteAvoiding(path, nil)
+}
+
+// bestRouteAvoiding is BestRoute over the graph edges not masked off
+// (see graph.ShortestPathAvoiding).
+func (n *Network) bestRouteAvoiding(path sites.Path, off []bool) (Route, bool) {
 	src, okS := n.dcID[path.From.Code]
 	dst, okD := n.dcID[path.To.Code]
 	if !okS || !okD {
 		return Route{}, false
 	}
-	p, ok := n.g.ShortestPath(src, dst)
+	p, ok := n.g.ShortestPathAvoiding(src, dst, off)
 	if !ok {
 		return Route{}, false
 	}
@@ -429,10 +403,6 @@ func (n *Network) Connected(path sites.Path) bool {
 	_, ok := n.BestRoute(path)
 	return ok
 }
-
-// Graph exposes the underlying graph for analyses that need raw access
-// (visualization, custom metrics). Callers must not mutate it.
-func (n *Network) Graph() *graph.Graph { return n.g }
 
 // LatencyBound returns the paper's §5 alternate-path latency budget for a
 // path: StretchBound × the c-speed latency along the geodesic.

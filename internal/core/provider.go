@@ -28,8 +28,8 @@ type SnapshotRequest struct {
 // one-shot DirectProvider rebuilds on every call; the snapshot engine
 // (internal/engine) memoizes, coalesces concurrent requests, and fans
 // batches out across a bounded worker pool. Implementations must be
-// safe for concurrent use and must return networks the caller may
-// freely mutate.
+// safe for concurrent use. Returned networks are read-only: the engine
+// shares one network between every caller of the same snapshot.
 type SnapshotProvider interface {
 	// DB returns the license database the snapshots are built from.
 	DB() *uls.Database

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"hftnetview/internal/geo"
-	"hftnetview/internal/graph"
+	"hftnetview/internal/radio"
 	"hftnetview/internal/sites"
 	"hftnetview/internal/uls"
 )
@@ -71,6 +73,11 @@ func TestOptionsFingerprint(t *testing.T) {
 	}
 }
 
+// TestNetworkCloneIndependence: a header copy of a Network (what the
+// engine hands out per memo hit) shares the immutable towers, links and
+// graph, yet re-dating the copy and routing it under a storm that fades
+// every link must leave the original's date, contents and routes as
+// they were.
 func TestNetworkCloneIndependence(t *testing.T) {
 	db := providerDB(t)
 	orig, err := Reconstruct(db, "Ladder Net", date20, sites.All, DefaultOptions())
@@ -82,37 +89,40 @@ func TestNetworkCloneIndependence(t *testing.T) {
 		t.Fatal("ladder network should be connected")
 	}
 
-	c := orig.Clone()
-	// Mutate every exported surface of the clone.
-	c.Towers[0].HeightMeters = -1
-	c.Links[0].FrequenciesMHz[0] = -1
-	c.Links[0].LengthMeters = 0
-	if len(c.Fiber) > 0 {
-		c.Fiber[0].LengthMeters = -1
+	c := *orig
+	c.Date = uls.NewDate(2021, time.January, 1)
+	// One cell over the whole corridor with a near-zero fade margin
+	// takes every microwave link of the copy down.
+	mid := geo.Interpolate(sites.CME.Location, sites.NY4.Location, 0.5)
+	storm := radio.Storm{Cells: []radio.Cell{{Center: mid, RadiusM: 2000e3, RateMMH: 100}}}
+	imp, err := c.RouteUnderStorm(pathNY4, storm, 1e-9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Disable every edge through the clone's graph.
-	for i := 0; i < c.Graph().NumEdges(); i++ {
-		c.Graph().SetDisabled(graph.EdgeID(i), true)
+	if imp.LinksDown != len(c.Links) {
+		t.Fatalf("sanity: storm faded %d of %d links", imp.LinksDown, len(c.Links))
+	}
+	if imp.Connected {
+		t.Error("copy should be disconnected under a storm that fades every link")
 	}
 
-	if orig.Towers[0].HeightMeters == -1 {
-		t.Error("clone tower mutation reached the original")
+	if orig.Date != date20 {
+		t.Errorf("copy's date reached the original: %v", orig.Date)
 	}
-	if orig.Links[0].FrequenciesMHz[0] == -1 {
-		t.Error("clone frequency mutation reached the original")
+	fresh, err := Reconstruct(db, "Ladder Net", date20, sites.All, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(orig.Fiber) > 0 && orig.Fiber[0].LengthMeters == -1 {
-		t.Error("clone fiber mutation reached the original")
+	if !reflect.DeepEqual(orig.Towers, fresh.Towers) || !reflect.DeepEqual(orig.Links, fresh.Links) ||
+		!reflect.DeepEqual(orig.Fiber, fresh.Fiber) {
+		t.Error("original's towers, links or fiber differ from a fresh reconstruction")
 	}
 	r1, ok := orig.BestRoute(pathNY4)
 	if !ok {
-		t.Fatal("original lost connectivity after clone graph mutation")
+		t.Fatal("original lost connectivity after routing the copy under a storm")
 	}
-	if r1.Latency != r0.Latency {
-		t.Errorf("original route latency changed: %v -> %v", r0.Latency, r1.Latency)
-	}
-	if _, ok := c.BestRoute(pathNY4); ok {
-		t.Error("clone should be disconnected after disabling all edges")
+	if !reflect.DeepEqual(r1, r0) {
+		t.Errorf("original route changed: %+v -> %+v", r0, r1)
 	}
 }
 

@@ -81,8 +81,8 @@ func trackKeyOf(req core.SnapshotRequest) string {
 
 // rekey maps a request's date to its anchor — the last event date ≤ the
 // requested date in the licensee set's merged stream. All dates
-// between two events collapse onto one memo key; the clone handed back
-// to the caller has its Date patched to the literal request.
+// between two events collapse onto one memo key; the header copy handed
+// back to the caller carries the literal request date.
 func (e *Engine) rekey(req core.SnapshotRequest) (core.SnapshotRequest, bool) {
 	if e.deltaOff {
 		return req, false

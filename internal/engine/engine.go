@@ -9,9 +9,10 @@
 // each distinct snapshot exactly once per database generation:
 // concurrent requests for the same key coalesce onto one in-flight
 // reconstruction, independent keys fan out across a bounded worker
-// pool, and completed snapshots are served from the memo store as deep
-// clones (callers may freely mutate what they get back; the cache
-// stays pristine).
+// pool, and completed snapshots are served straight from the memo
+// store. A reconstructed network is immutable, so every caller shares
+// the cached one; only its Date header is copied per request (see
+// SnapshotContext).
 //
 // The engine implements core.SnapshotProvider, so the core analyses
 // (ConnectedNetworksVia, RankNetworksVia, EvolutionVia) and the entity
@@ -168,8 +169,8 @@ func keyOf(req core.SnapshotRequest) string {
 
 // Snapshot returns the network described by the request, reconstructing
 // it at most once per key and database generation. The returned network
-// is a deep clone: mutating it (including through analyses that toggle
-// graph edges) cannot poison the cache.
+// shares its towers, links, maps and graph with the memo store and with
+// every other caller of the same key: it is read-only.
 func (e *Engine) Snapshot(req core.SnapshotRequest) (*core.Network, error) {
 	return e.SnapshotContext(context.Background(), req)
 }
@@ -191,8 +192,8 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 	}
 	// Anchor re-keying: the requested date collapses onto the date of
 	// the last event at or before it — every date between two events
-	// shares one memo entry. The clone returned below has its Date
-	// patched back to the literal request.
+	// shares one memo entry. The network returned below is a header
+	// copy carrying the literal request date.
 	want := req.Date
 	req, rekeyed := e.rekey(req)
 	key := keyOf(req)
@@ -241,9 +242,11 @@ func (e *Engine) SnapshotContext(ctx context.Context, req core.SnapshotRequest) 
 	if ent.err != nil {
 		return nil, ent.err
 	}
-	n := ent.net.Clone()
-	n.Date = want
-	return n, nil
+	// Copy the header only: the request date must not be written onto
+	// the shared network, and everything else is shared read-only.
+	c := *ent.net
+	c.Date = want
+	return &c, nil
 }
 
 // fill runs the reconstruction for a freshly created entry and

@@ -3,13 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"hftnetview/internal/core"
 	"hftnetview/internal/geo"
-	"hftnetview/internal/graph"
+	"hftnetview/internal/radio"
 	"hftnetview/internal/sites"
 	"hftnetview/internal/synth"
 	"hftnetview/internal/uls"
@@ -58,11 +59,8 @@ func TestSnapshotMemoization(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 || st.Rebuilds != 1 {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 rebuild", st)
 	}
-	if a == b {
-		t.Error("engine returned the same *Network twice; wants clones")
-	}
 	if len(a.Links) != len(b.Links) || len(a.Towers) != len(b.Towers) {
-		t.Errorf("clone mismatch: %d/%d links, %d/%d towers",
+		t.Errorf("snapshot mismatch: %d/%d links, %d/%d towers",
 			len(a.Links), len(b.Links), len(a.Towers), len(b.Towers))
 	}
 }
@@ -132,8 +130,112 @@ func reversedDCs() []sites.DataCenter {
 	return out
 }
 
-// TestMutationDoesNotPoisonCache: mutating a returned network — fields
-// and graph alike — must not leak into later cache reads.
+// analyses is every read that routes around edges (edge removal for
+// APA, Yen's spur searches, storm masks) plus the plain reads beside
+// them, as one comparable value.
+type analyses struct {
+	APA       float64
+	APAOK     bool
+	Diverse   []core.Route
+	Storms    []core.StormImpact
+	Bounded   core.BoundedPathSet
+	BoundedOK bool
+	Best      core.Route
+	BestOK    bool
+}
+
+// readAll runs every analysis in analyses on n, starting at step first
+// (mod the step count) so concurrent readers overlap different
+// analyses.
+func readAll(t *testing.T, n *core.Network, first int) analyses {
+	var a analyses
+	steps := []func(){
+		func() { a.APA, a.APAOK = n.APA(pathNY4) },
+		func() { a.Diverse = n.DiverseRoutes(pathNY4, 8) },
+		func() {
+			a.Storms = nil
+			for seed := uint64(1); seed <= 6; seed++ {
+				storm := radio.GenerateStorm(seed, sites.CME.Location,
+					sites.NY4.Location, radio.DefaultStormConfig())
+				imp, err := n.RouteUnderStorm(pathNY4, storm, 40)
+				if err != nil {
+					t.Error(err)
+				}
+				a.Storms = append(a.Storms, imp)
+			}
+		},
+		func() { a.Bounded, a.BoundedOK = n.BoundedPaths(pathNY4) },
+		func() { a.Best, a.BestOK = n.BestRoute(pathNY4) },
+	}
+	for i := range steps {
+		steps[(first+i)%len(steps)]()
+	}
+	return a
+}
+
+// TestConcurrentReadersShareSnapshot: the engine hands every caller the
+// memoized network itself, so one snapshot pointer read by many
+// goroutines at once — each running the edge-masking analyses in a
+// different order — must give exactly what a fresh core.Reconstruct of
+// the same request gives, and so must a later memo hit. Run under -race.
+func TestConcurrentReadersShareSnapshot(t *testing.T) {
+	db := corpus(t)
+	e := New(db)
+	r := req("New Line Networks", snapshot, core.DefaultOptions())
+	shared, err := e.Snapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := core.Reconstruct(db, r.Licensees[0], r.Date, r.DCs, r.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := readAll(t, oracle, 0)
+	if !want.APAOK || !want.BoundedOK || !want.BestOK || len(want.Diverse) < 2 {
+		t.Fatalf("sanity: NLN should be connected with alternates: %+v", want)
+	}
+	down := 0
+	for _, imp := range want.Storms {
+		down += imp.LinksDown
+	}
+	if down == 0 {
+		t.Fatal("sanity: no seeded storm faded a link; the storm mask is untested")
+	}
+
+	const readers = 10
+	got := make([]analyses, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = readAll(t, shared, i)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("reader %d diverges from the fresh-reconstruction oracle", i)
+		}
+	}
+
+	again, err := e.Snapshot(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(readAll(t, again, 0), want) {
+		t.Error("a memo hit after the concurrent readers diverges from the oracle")
+	}
+	if st := e.Stats(); st.Rebuilds != 1 {
+		t.Errorf("rebuilds = %d, want 1 (second read must come from cache)", st.Rebuilds)
+	}
+}
+
+// TestMutationDoesNotPoisonCache: every memo hit hands out its own
+// header copy of the shared network, so a caller that routes its
+// snapshot under a storm fading every link and then rewrites every
+// header field must not change what the next caller reads from the
+// cache.
 func TestMutationDoesNotPoisonCache(t *testing.T) {
 	e := New(corpus(t))
 	r := req("Webline Holdings", snapshot, core.DefaultOptions())
@@ -145,34 +247,39 @@ func TestMutationDoesNotPoisonCache(t *testing.T) {
 	if !ok {
 		t.Fatal("WH should be connected")
 	}
+	nLinks, nTowers, nFiber := len(first.Links), len(first.Towers), len(first.Fiber)
 
-	// Vandalize the returned clone.
-	first.Towers[0].Point = geo.Point{Lat: 0, Lon: 0}
-	first.Links[0].FrequenciesMHz[0] = -1
-	for i := range first.Links {
-		first.Links[i].LengthMeters = 0
+	mid := geo.Interpolate(sites.CME.Location, sites.NY4.Location, 0.5)
+	storm := radio.Storm{Cells: []radio.Cell{{Center: mid, RadiusM: 2000e3, RateMMH: 100}}}
+	imp, err := first.RouteUnderStorm(pathNY4, storm, 1e-9)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := first.Graph()
-	for i := 0; i < g.NumEdges(); i++ {
-		g.SetDisabled(graph.EdgeID(i), true)
+	if imp.Connected || imp.LinksDown != nLinks {
+		t.Fatalf("sanity: storm should fade all %d links, got %+v", nLinks, imp)
 	}
-	if _, ok := first.BestRoute(pathNY4); ok {
-		t.Fatal("sanity: vandalized clone should be disconnected")
-	}
+	// Vandalize the returned header.
+	first.Licensee = "vandal"
+	first.Date = uls.NewDate(1999, time.January, 1)
+	first.Towers, first.Links, first.Fiber = nil, nil, nil
 
 	second, err := e.Snapshot(r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if second.Licensee != "Webline Holdings" || second.Date != snapshot {
+		t.Errorf("cache poisoned: header %q %v", second.Licensee, second.Date)
+	}
+	if len(second.Links) != nLinks || len(second.Towers) != nTowers || len(second.Fiber) != nFiber {
+		t.Errorf("cache poisoned: %d links, %d towers, %d fiber; want %d, %d, %d",
+			len(second.Links), len(second.Towers), len(second.Fiber), nLinks, nTowers, nFiber)
+	}
 	route1, ok := second.BestRoute(pathNY4)
 	if !ok {
 		t.Fatal("cache poisoned: second snapshot not connected")
 	}
-	if route1.Latency != route0.Latency {
-		t.Errorf("cache poisoned: latency %v, want %v", route1.Latency, route0.Latency)
-	}
-	if second.Links[0].FrequenciesMHz[0] == -1 {
-		t.Error("cache poisoned: frequency mutation visible in second snapshot")
+	if !reflect.DeepEqual(route1, route0) {
+		t.Errorf("cache poisoned: route %+v, want %+v", route1, route0)
 	}
 	if st := e.Stats(); st.Rebuilds != 1 {
 		t.Errorf("rebuilds = %d, want 1 (second read must come from cache)", st.Rebuilds)

@@ -261,9 +261,10 @@ func TestHealSoak(t *testing.T) {
 		if err != nil || len(gens) == 0 {
 			return false
 		}
-		g := gens[len(gens)-1]
+		// List is newest first.
+		g := gens[0]
 		if len(gens) >= 2 {
-			g = gens[len(gens)-2]
+			g = gens[1]
 		}
 		if len(g.Segments) == 0 {
 			return false

@@ -50,9 +50,6 @@ func (g *Graph) ShortestPathBidirectional(src, dst NodeID) (Path, bool) {
 			}
 			for _, eid := range g.adj[u] {
 				e := &g.edges[eid]
-				if e.Disabled {
-					continue
-				}
 				v := e.Other(u)
 				nd := dist[u] + e.Weight
 				if nd < dist[v] {

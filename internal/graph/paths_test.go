@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -215,28 +216,146 @@ func TestEdgeRemovalFastMatchesSlow(t *testing.T) {
 	}
 }
 
-func TestEdgeRemovalRestoresState(t *testing.T) {
-	g, ids := lineGraph(t, 5)
-	pre := make([]bool, g.NumEdges())
-	for i := range pre {
-		pre[i] = g.Edge(EdgeID(i)).Disabled
+// without rebuilds g with only the edges whose off entry is false, in
+// their original order, and returns the rebuilt graph plus a map from
+// its edge ids back to g's. Node ids are preserved.
+func without(t *testing.T, g *Graph, off []bool) (*Graph, []EdgeID) {
+	t.Helper()
+	r := New()
+	for i := 0; i < g.NumNodes(); i++ {
+		r.EnsureNode(g.Key(NodeID(i)))
 	}
-	g.EdgeRemovalAnalysis(ids[0], ids[5], 100)
-	g.EdgeRemovalAnalysisFast(ids[0], ids[5], 100)
-	for i := range pre {
-		if g.Edge(EdgeID(i)).Disabled != pre[i] {
-			t.Errorf("edge %d disabled state mutated", i)
+	var orig []EdgeID
+	for id := 0; id < g.NumEdges(); id++ {
+		if off[id] {
+			continue
+		}
+		e := g.Edge(EdgeID(id))
+		if _, err := r.AddEdge(e.A, e.B, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+		orig = append(orig, EdgeID(id))
+	}
+	return r, orig
+}
+
+// TestShortestPathAvoidingMatchesRebuild is the edge mask's differential
+// test: on seeded random graphs, routing around a mask must return the
+// same weight and edges as routing on the graph rebuilt without the
+// masked edges. Edge removal (one masked edge per re-run) and Yen's spur
+// searches share the mask path, so their per-edge latencies must match
+// the rebuilt oracle too, and no call may leave the graph routing
+// differently afterwards.
+func TestShortestPathAvoidingMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 7))
+	for trial := 0; trial < 25; trial++ {
+		g := New()
+		n := 15
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = g.EnsureNode(fmt.Sprintf("n%d", i))
+		}
+		for e := 0; e < 35; e++ {
+			a, b := ids[rng.IntN(n)], ids[rng.IntN(n)]
+			if a == b {
+				continue
+			}
+			g.AddEdge(a, b, 0.5+rng.Float64()*2)
+		}
+		src, dst := ids[0], ids[n-1]
+		base, baseOK := g.ShortestPath(src, dst)
+
+		for m := 0; m < 8; m++ {
+			off := make([]bool, g.NumEdges())
+			for id := range off {
+				off[id] = rng.Float64() < 0.3
+			}
+			r, orig := without(t, g, off)
+			want, wantOK := r.ShortestPath(src, dst)
+			got, gotOK := g.ShortestPathAvoiding(src, dst, off)
+			if gotOK != wantOK {
+				t.Fatalf("trial %d mask %d: reachable %v, rebuilt %v", trial, m, gotOK, wantOK)
+			}
+			if !gotOK {
+				continue
+			}
+			if got.Weight != want.Weight || len(got.Edges) != len(want.Edges) {
+				t.Fatalf("trial %d mask %d: got %+v, rebuilt %+v", trial, m, got, want)
+			}
+			for i, eid := range want.Edges {
+				if got.Edges[i] != orig[eid] {
+					t.Fatalf("trial %d mask %d: edge %d is %d, rebuilt %d", trial, m, i, got.Edges[i], orig[eid])
+				}
+			}
+		}
+
+		res := g.EdgeRemovalAnalysis(src, dst, math.Inf(1))
+		if len(res) != g.NumEdges() {
+			t.Fatalf("trial %d: %d removal results for %d edges", trial, len(res), g.NumEdges())
+		}
+		for _, rr := range res {
+			off := make([]bool, g.NumEdges())
+			off[rr.Edge] = true
+			r, _ := without(t, g, off)
+			want := math.Inf(1)
+			if p, ok := r.ShortestPath(src, dst); ok {
+				want = p.Weight
+			}
+			if rr.Latency != want {
+				t.Fatalf("trial %d: without edge %d latency %v, rebuilt %v", trial, rr.Edge, rr.Latency, want)
+			}
+		}
+		g.EdgeRemovalAnalysisFast(src, dst, base.Weight*1.3)
+		g.KShortestPaths(src, dst, 5)
+
+		after, afterOK := g.ShortestPath(src, dst)
+		if afterOK != baseOK || after.Weight != base.Weight || len(after.Edges) != len(base.Edges) {
+			t.Fatalf("trial %d: analyses changed routing: %+v -> %+v", trial, base, after)
 		}
 	}
 }
 
+// TestEdgeRemovalRestoresState: the removal analyses mask one edge per
+// re-run in a per-call slice, so they must leave the graph routing as
+// before, and a repeat call must see no edge still masked. The bypass
+// gives every removal a finite answer, so a leaked mask would show.
+func TestEdgeRemovalRestoresState(t *testing.T) {
+	g, ids := lineGraph(t, 5)
+	if _, err := g.AddEdge(ids[0], ids[5], 10); err != nil {
+		t.Fatal(err)
+	}
+	before, ok := g.ShortestPath(ids[0], ids[5])
+	if !ok {
+		t.Fatal("line graph should be connected")
+	}
+	slow := g.EdgeRemovalAnalysis(ids[0], ids[5], 100)
+	fast := g.EdgeRemovalAnalysisFast(ids[0], ids[5], 100)
+	after, ok := g.ShortestPath(ids[0], ids[5])
+	if !ok || !reflect.DeepEqual(after, before) {
+		t.Errorf("routing changed by removal analysis: %+v -> %+v", before, after)
+	}
+	if again := g.EdgeRemovalAnalysis(ids[0], ids[5], 100); !reflect.DeepEqual(again, slow) {
+		t.Errorf("repeat removal analysis differs: %+v, first %+v", again, slow)
+	}
+	if again := g.EdgeRemovalAnalysisFast(ids[0], ids[5], 100); !reflect.DeepEqual(again, fast) {
+		t.Errorf("repeat fast removal analysis differs: %+v, first %+v", again, fast)
+	}
+}
+
+// TestEdgeRemovalSkipsDisabled: a down edge is left out when the graph is
+// built (edges carry no disabled flag), so removal analysis reports
+// exactly the built edges — here the three line edges, each a cut.
 func TestEdgeRemovalSkipsDisabled(t *testing.T) {
 	g, ids := lineGraph(t, 3)
-	extra, _ := g.AddEdge(ids[0], ids[3], 10)
-	g.SetDisabled(extra, true)
+	// The ids[0]–ids[3] bypass is down, so it is not added.
 	res := g.EdgeRemovalAnalysis(ids[0], ids[3], 100)
 	if len(res) != 3 {
-		t.Errorf("results = %d, want 3 (disabled edge excluded)", len(res))
+		t.Errorf("results = %d, want 3 (down edge excluded)", len(res))
+	}
+	for _, r := range res {
+		if r.WithinBound || !math.IsInf(r.Latency, 1) {
+			t.Errorf("removing line edge %d: %+v, want a cut", r.Edge, r)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 	accepted := []Path{first}
 	seen := map[string]bool{pathKey(first): true}
 	var candidates []Path
+	off := make([]bool, len(g.edges))
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
@@ -33,8 +34,8 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 
 			var disabled []EdgeID
 			disable := func(id EdgeID) {
-				if !g.edges[id].Disabled {
-					g.edges[id].Disabled = true
+				if !off[id] {
+					off[id] = true
 					disabled = append(disabled, id)
 				}
 			}
@@ -47,17 +48,17 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 				}
 			}
 			// Remove the root nodes (other than the spur node) from the
-			// graph by disabling their incident edges.
+			// search by masking off their incident edges.
 			for _, n := range rootNodes[:len(rootNodes)-1] {
 				for _, eid := range g.adj[n] {
 					disable(eid)
 				}
 			}
 
-			spurPath, ok := g.ShortestPath(spurNode, dst)
+			spurPath, ok := g.ShortestPathAvoiding(spurNode, dst, off)
 
 			for _, id := range disabled {
-				g.edges[id].Disabled = false
+				off[id] = false
 			}
 			if !ok {
 				continue

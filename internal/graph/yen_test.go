@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -59,17 +60,25 @@ func TestKShortestK1AndUnreachable(t *testing.T) {
 	}
 }
 
+// TestKShortestRestoresGraph: Yen masks spur edges in a per-call slice,
+// so it must leave the graph routing as before and a repeat call must
+// give the same paths.
 func TestKShortestRestoresGraph(t *testing.T) {
 	g, src, dst := ladderGraph(t, 4, 1, 0.2)
-	before := make([]bool, g.NumEdges())
-	for i := range before {
-		before[i] = g.Edge(EdgeID(i)).Disabled
+	before, ok := g.ShortestPath(src, dst)
+	if !ok {
+		t.Fatal("ladder should be connected")
 	}
-	g.KShortestPaths(src, dst, 5)
-	for i := range before {
-		if g.Edge(EdgeID(i)).Disabled != before[i] {
-			t.Fatalf("edge %d disabled state leaked", i)
-		}
+	first := g.KShortestPaths(src, dst, 5)
+	if len(first) < 2 {
+		t.Fatalf("sanity: ladder should have alternates, got %d paths", len(first))
+	}
+	after, ok := g.ShortestPath(src, dst)
+	if !ok || !reflect.DeepEqual(after, before) {
+		t.Fatalf("routing changed by KShortestPaths: %+v -> %+v", before, after)
+	}
+	if again := g.KShortestPaths(src, dst, 5); !reflect.DeepEqual(again, first) {
+		t.Errorf("repeat KShortestPaths differs: %+v, first %+v", again, first)
 	}
 }
 
