@@ -132,13 +132,20 @@ cover:
 bench-gate:
 	$(GO) test -run 'TestDeltaSweepBudget|TestSnapshotHitAllocs' -v .
 
-# Short fuzz pass over the bulk parsers. The lenient reader must never
-# panic, must always produce a report, and must only load licenses the
-# strict reader would re-accept; the strict reader must round-trip
-# whatever it takes. Cheap enough for ci.
+# Short fuzz pass over the bulk parsers and the store's peer/disk
+# boundary. The lenient reader must never panic, must always produce a
+# report, and must only load licenses the strict reader would
+# re-accept; the strict reader must round-trip whatever it takes. A
+# shipped manifest must be refused by OpenStaging with ErrVerify and
+# no staging debris, or open with exactly its own segments to fetch;
+# the staging journal parser must round-trip whatever it accepts.
+# Each manifest exec opens a fresh store, so minimizing a new input is
+# capped at 200 execs to keep the 5s pass fuzzing. Cheap enough for ci.
 fuzz-short:
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulkLenient' -fuzztime 10s
 	$(GO) test ./internal/uls -run '^$$' -fuzz 'FuzzReadBulk$$' -fuzztime 5s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseManifest' -fuzztime 5s -fuzzminimizetime 200x
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzParseJournal' -fuzztime 5s
 
 # Full benchmark suite (E1–E17, ablations, engine, serving middleware,
 # full-pull vs delta-pull bytes-on-wire), machine-readable.

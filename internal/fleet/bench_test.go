@@ -106,11 +106,6 @@ func BenchmarkShipFullPull(b *testing.B) {
 // baseline is the delta-shipping saving on the wire.
 func BenchmarkShipDeltaPull(b *testing.B) {
 	pst, primary := benchPrimary(b)
-	mb1, _, err := pst.ExportManifest(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	localFetch := func(name string) ([]byte, error) { return pst.ReadSegmentRaw(1, name) }
 	meter := &countingTransport{}
 	client := clientWith(meter)
 	b.ResetTimer()
@@ -121,9 +116,7 @@ func BenchmarkShipDeltaPull(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Seed generation 1 off-wire: the replica's starting state.
-		if _, _, err := rst.Install(mb1, localFetch); err != nil {
-			b.Fatal(err)
-		}
+		stagedInstall(b, rst, pst, 1)
 		srv := serve.New(serve.Config{})
 		srv.AttachStore(rst)
 		p := NewPuller(PullerConfig{Primary: primary, Store: rst, Server: srv, Client: client})

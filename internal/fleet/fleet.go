@@ -30,10 +30,12 @@
 //     number of generations behind the primary, and shed load with
 //     503 + jittered Retry-After when no replica is serviceable.
 //
-// The chaos harness (ChaosReplica, FaultyTransport) and the E21 soak
-// drive the whole assembly under SIGKILL-style replica crashes and
-// corrupted downloads, asserting clients never observe a wrong or
-// out-of-bounds-stale generation and never an error beyond 503.
+// The package's tests carry a chaos kit (chaos_test.go,
+// campaign_test.go: killable replicas, corrupting and partitioning
+// transports, seeded multi-fault campaigns) that the E21, E23, E24 and
+// E25 soaks drive the whole assembly with, asserting clients never
+// observe a wrong or out-of-bounds-stale generation and never an error
+// beyond 503. None of it is compiled into the package.
 package fleet
 
 import "net/http"

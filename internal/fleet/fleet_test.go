@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +64,55 @@ func newPrimary(t testing.TB) (*store.Store, string, *httptest.Server) {
 	srv := httptest.NewServer(NewShipper(st))
 	t.Cleanup(srv.Close)
 	return st, srv.URL, srv
+}
+
+// segmentFile reads one committed segment through SegmentHandle, the
+// path the shipper streams from.
+func segmentFile(tb testing.TB, st *store.Store, id int64, name string) []byte {
+	tb.Helper()
+	path, _, _, err := st.SegmentHandle(id, name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// stagedInstall copies generation id from src into dst off the wire,
+// through the only install path a store has: OpenStaging, each missing
+// segment written through SegmentWriter and verified by
+// CompleteSegment, then InstallStaged.
+func stagedInstall(tb testing.TB, dst, src *store.Store, id int64) {
+	tb.Helper()
+	mb, _, err := src.ExportManifest(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stg, err := dst.OpenStaging(mb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer stg.Close()
+	for _, si := range stg.Missing() {
+		w, err := stg.SegmentWriter(si)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		_, err = w.Write(segmentFile(tb, src, id, si.Name))
+		w.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := stg.CompleteSegment(si); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, _, err := dst.InstallStaged(stg); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // newReplica wires a puller-backed replica over its own store and

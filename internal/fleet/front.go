@@ -42,7 +42,10 @@ type FrontConfig struct {
 	// HedgeAfter is the per-request hedging deadline: if the chosen
 	// replica has not answered within it, the request is also sent to
 	// the next replica in ring order and the first answer wins; the
-	// loser is canceled (default 150ms).
+	// loser is canceled (default 150ms). Bulk segment fetches
+	// (/v1/gen/segment/) are never hedged: a hedge would duplicate
+	// megabytes of transfer to shave a tail the puller's resumable
+	// staging already tolerates, so they fail over sequentially.
 	HedgeAfter time.Duration
 	// RequestTimeout bounds one client request end to end, across all
 	// attempts (default 15s).
@@ -55,12 +58,6 @@ type FrontConfig struct {
 	// probe failures that mark a replica down (default 2).
 	CheckInterval time.Duration
 	FailAfter     int
-	// HedgeBulk extends tail-latency hedging to bulk segment fetches
-	// (/v1/gen/segment/ proxied through the front). Default off: a
-	// hedged segment fetch duplicates megabytes of transfer to shave a
-	// tail the puller's resumable staging already tolerates, so bulk
-	// reads fail over sequentially instead of racing two replicas.
-	HedgeBulk bool
 	// Promote enables epoch-fenced source promotion: the front tracks a
 	// source role (the member pullers replicate from), and when the
 	// role holder's lease lapses or its /readyz fails FailAfter
@@ -373,10 +370,10 @@ func (f *Front) handleProxy(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.RequestTimeout)
 	defer cancel()
 
-	// Bulk segment fetches fail over but never hedge (unless opted in):
-	// racing two replicas on a multi-megabyte body duplicates the very
-	// transfer bytes the delta-shipping path exists to save.
-	hedge := f.cfg.HedgeBulk || !strings.HasPrefix(r.URL.Path, shipPrefix+"segment/")
+	// Bulk segment fetches fail over but never hedge: racing two
+	// replicas on a multi-megabyte body duplicates the very transfer
+	// bytes the delta-shipping path exists to save.
+	hedge := !strings.HasPrefix(r.URL.Path, shipPrefix+"segment/")
 	resp := f.hedgedFetch(ctx, cands, r.URL.RequestURI(), r.Header, hedge)
 	if resp == nil {
 		f.shed(w, "all replicas failed")

@@ -236,3 +236,88 @@ func TestFrontStalenessExclusion(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "caught-up replica readmitted", func() bool { return routable() == 1 })
 }
+
+// TestFrontHedging: a slow query is hedged to the next replica after
+// HedgeAfter and the fast answer wins; a slow bulk segment fetch is
+// never hedged — its one attempt runs until it answers.
+func TestFrontHedging(t *testing.T) {
+	const (
+		hedgeAfter = 30 * time.Millisecond
+		slowFor    = 400 * time.Millisecond
+	)
+	var slow atomic.Value // name of the replica that stalls /v1/ reads
+	slow.Store("")
+	hits := map[string]*atomic.Int64{"r1": {}, "r2": {}}
+	fake := func(name string) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/readyz" {
+				fmt.Fprint(w, `{"ready":true,"generation":{"store_generation":1,"corpus_sha256":"abc"}}`)
+				return
+			}
+			hits[name].Add(1)
+			if slow.Load() == name {
+				select {
+				case <-time.After(slowFor):
+				case <-r.Context().Done():
+					return
+				}
+			}
+			fmt.Fprint(w, "ok")
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	r1, r2 := fake("r1"), fake("r2")
+
+	f := NewFront(FrontConfig{
+		Replicas:      []Replica{{Name: "r1", URL: r1.URL}, {Name: "r2", URL: r2.URL}},
+		HedgeAfter:    hedgeAfter,
+		CheckInterval: 10 * time.Millisecond,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go f.Run(ctx)
+	front := httptest.NewServer(f.Handler())
+	defer front.Close()
+	waitFor(t, 5*time.Second, "both replicas routable", func() bool { return len(f.routable()) == 2 })
+
+	// get stalls the key's first candidate and fetches path through
+	// the front, returning the answering replica and the elapsed time.
+	get := func(path string) (string, time.Duration) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		slow.Store(f.candidates(shardKey(req))[0].Name)
+		start := time.Now()
+		resp, err := front.Client().Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+		return resp.Header.Get("X-Fleet-Replica"), time.Since(start)
+	}
+
+	// A slow segment fetch: one attempt, no hedge, the slow owner's
+	// answer is the one served.
+	rep, took := get("/v1/gen/segment/1/seg-0000.dat")
+	if s := f.Stats(); s.Hedged != 0 || s.Proxied != 1 {
+		t.Fatalf("segment fetch: %d hedged, %d attempts; want 0 and 1", s.Hedged, s.Proxied)
+	}
+	if rep != slow.Load() || took < slowFor {
+		t.Fatalf("segment fetch answered by %s after %v, want the slow %s after ≥ %v", rep, took, slow.Load(), slowFor)
+	}
+	if n := hits["r1"].Load() + hits["r2"].Load(); n != 1 {
+		t.Fatalf("segment fetch reached replicas %d times, want 1", n)
+	}
+
+	// A slow query: hedged after HedgeAfter, the fast replica wins.
+	rep, took = get("/v1/snapshot")
+	if s := f.Stats(); s.Hedged != 1 {
+		t.Fatalf("snapshot: %d hedged, want 1", s.Hedged)
+	}
+	if rep == slow.Load() || took >= slowFor {
+		t.Fatalf("snapshot answered by %s after %v, want the fast replica before %v", rep, took, slowFor)
+	}
+}

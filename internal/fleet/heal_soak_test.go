@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,33 +72,7 @@ func TestHealSoak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// published maps generation id → the set of corpus digests ever
-	// published under that id. A SET, not a single digest: after a
-	// promotion the new source's branch legitimately reuses ids the dead
-	// source's unshipped tail also used — both are real published state,
-	// and a 200 carrying either digest is correct.
-	var pubMu sync.Mutex
-	published := make(map[int64]map[string]bool)
-	var latestGen atomic.Int64
-	record := func(gi *store.GenInfo) {
-		pubMu.Lock()
-		if published[gi.ID] == nil {
-			published[gi.ID] = make(map[string]bool)
-		}
-		published[gi.ID][gi.CorpusSHA256] = true
-		pubMu.Unlock()
-		for {
-			cur := latestGen.Load()
-			if gi.ID <= cur || latestGen.CompareAndSwap(cur, gi.ID) {
-				break
-			}
-		}
-	}
-	publishedDigest := func(id int64, digest string) bool {
-		pubMu.Lock()
-		defer pubMu.Unlock()
-		return published[id][digest]
-	}
+	pub := newPublishLog() // ids reused across a promotion keep every digest
 
 	// Front tier: promotion on, zero static members, no Primary URL —
 	// the fleet's newest generation is whatever the elected source
@@ -165,7 +138,7 @@ func TestHealSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	record(gi)
+	pub.record(gi)
 	seed.Close()
 	for i := range replicas {
 		if err := replicas[i].Start(); err != nil {
@@ -234,7 +207,7 @@ func TestHealSoak(t *testing.T) {
 					gi, err := st.Save(corpus(t), fmt.Sprintf("heal soak update %d (epoch %d)", n, src.Epoch))
 					if err == nil {
 						srv.PublishStoreGeneration(corpus(t), gi)
-						record(gi)
+						pub.record(gi)
 						// Bound the source's history (and with it each scrub
 						// cycle's work); keeping more than the replicas'
 						// Keep=4 leaves repair peers plenty of overlap.
@@ -351,7 +324,7 @@ func TestHealSoak(t *testing.T) {
 			defer cwg.Done()
 			client := &http.Client{Timeout: 8 * time.Second}
 			for time.Now().Before(clientDeadline) {
-				lo := latestGen.Load()
+				lo := pub.latest.Load()
 				resp, err := client.Get(front.URL + queries[c%len(queries)])
 				if err != nil {
 					t.Errorf("client %d: transport error through front: %v", c, err)
@@ -359,37 +332,18 @@ func TestHealSoak(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-					oks.Add(1)
-					genHdr := resp.Header.Get("X-Corpus-Generation")
-					gen, err := strconv.ParseInt(genHdr, 10, 64)
-					if err != nil || gen <= 0 {
-						t.Errorf("200 with bad X-Corpus-Generation %q", genHdr)
-						return
-					}
-					digest := resp.Header.Get("X-Corpus-Digest")
-					if !publishedDigest(gen, digest) {
-						t.Errorf("200 served generation %d digest %s that no source ever published", gen, digest)
-						return
-					}
-					// +4 slack: publishes mid-flight, probe lag, and the
-					// re-anchored generation floor after a promotion.
-					if gen < lo-(stalenessBound+4) {
-						t.Errorf("response generation %d beyond staleness budget (fleet was at %d, bound %d)", gen, lo, stalenessBound)
-						return
-					}
-				case http.StatusServiceUnavailable:
-					sheds.Add(1)
-					if resp.Header.Get("Retry-After") == "" {
-						t.Error("503 without Retry-After")
-						return
-					}
-					time.Sleep(2 * time.Millisecond)
-				default:
-					t.Errorf("client saw status %d — the error surface must be exactly {200, 503}", resp.StatusCode)
+				// +4 slack: publishes mid-flight, probe lag, and the
+				// re-anchored generation floor after a promotion.
+				if err := pub.audit(resp, lo, stalenessBound, 4); err != nil {
+					t.Errorf("client %d: %v", c, err)
 					return
 				}
+				if resp.StatusCode == http.StatusOK {
+					oks.Add(1)
+					continue
+				}
+				sheds.Add(1)
+				time.Sleep(2 * time.Millisecond)
 			}
 		}(c)
 	}
@@ -447,11 +401,11 @@ func TestHealSoak(t *testing.T) {
 	killMu.Lock()
 	if st := victim.Store(); st != nil {
 		if gi, err := st.Save(corpus(t), "unshipped tail"); err == nil {
-			record(gi) // it exists on disk; if anything ever serves it, the digest is legitimate
+			pub.record(gi) // it exists on disk; if anything ever serves it, the digest is legitimate
 		}
 	}
 	killedAt := time.Now()
-	genAtKill := latestGen.Load()
+	genAtKill := pub.latest.Load()
 	victim.Kill()
 	killMu.Unlock()
 	t.Logf("heal soak: permanently killed source %s (epoch %d) at generation %d", victim.Name, srcBefore.Epoch, genAtKill)
@@ -462,7 +416,7 @@ func TestHealSoak(t *testing.T) {
 	})
 	t.Logf("heal soak: re-elected %+v %v after source death", f.Members().Source(), time.Since(killedAt))
 	waitFor(t, promoteBudget+6*publishEvery, "publishing resumed under the new source", func() bool {
-		return latestGen.Load() > genAtKill
+		return pub.latest.Load() > genAtKill
 	})
 
 	// Bit-rot drill, deterministic regardless of the campaign's draws:

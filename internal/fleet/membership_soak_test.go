@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"hftnetview/internal/serve"
-	"hftnetview/internal/store"
 	"hftnetview/internal/synth"
 )
 
@@ -70,25 +68,8 @@ func TestMembershipChaosSoak(t *testing.T) {
 	// the primary-outage fault (a down primary publishes nothing, which
 	// is exactly what keeps "serve the last installed generation"
 	// within the staleness bound).
-	pst, err := store.Open(t.TempDir(), store.WithSegmentTarget(32<<10), store.WithBlockLicenses(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pst.Close()
-	var published sync.Map // generation id → corpus digest
-	var latestGen atomic.Int64
+	pst, pub, primary := newSoakPrimary(t, "membership soak seed")
 	var pubPaused atomic.Bool
-	record := func(gi *store.GenInfo) {
-		published.Store(gi.ID, gi.CorpusSHA256)
-		latestGen.Store(gi.ID)
-	}
-	gi, err := pst.Save(corpus(t), "membership soak seed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	record(gi)
-	primary := httptest.NewServer(NewShipper(pst))
-	defer primary.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -97,26 +78,7 @@ func TestMembershipChaosSoak(t *testing.T) {
 	wg.Add(1)
 	go func() { // publisher, pausable by the primary-outage fault
 		defer wg.Done()
-		for n := 1; ; n++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(publishEvery):
-			}
-			if pubPaused.Load() {
-				continue
-			}
-			gi, err := pst.Save(corpus(t), fmt.Sprintf("membership soak update %d", n))
-			if err != nil {
-				t.Errorf("publisher save %d: %v", n, err)
-				return
-			}
-			record(gi)
-			if _, err := pst.GC(4); err != nil {
-				t.Errorf("publisher gc: %v", err)
-				return
-			}
-		}
+		pub.publish(ctx, t, pst, publishEvery, &pubPaused, "membership soak update")
 	}()
 
 	// Front tier: NO static replicas — the whole fleet must assemble
@@ -304,7 +266,7 @@ func TestMembershipChaosSoak(t *testing.T) {
 			defer cwg.Done()
 			client := &http.Client{Timeout: 8 * time.Second}
 			for time.Now().Before(deadline) {
-				lo := latestGen.Load()
+				lo := pub.latest.Load()
 				resp, err := client.Get(front.URL + queries[c%len(queries)])
 				if err != nil {
 					t.Errorf("client %d: transport error through front: %v", c, err)
@@ -312,43 +274,20 @@ func TestMembershipChaosSoak(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-					oks.Add(1)
-					genHdr := resp.Header.Get("X-Corpus-Generation")
-					gen, err := strconv.ParseInt(genHdr, 10, 64)
-					if err != nil || gen <= 0 {
-						t.Errorf("200 with bad X-Corpus-Generation %q", genHdr)
-						return
-					}
-					wantDigest, ok := published.Load(gen)
-					if !ok {
-						t.Errorf("200 served generation %d the primary never published", gen)
-						return
-					}
-					if got := resp.Header.Get("X-Corpus-Digest"); got != wantDigest.(string) {
-						t.Errorf("generation %d served with digest %s, primary published %s — wrong corpus went live", gen, got, wantDigest)
-						return
-					}
-					// +3 slack: generations published mid-flight, probe
-					// lag, and partition-heal catchup.
-					if gen < lo-(stalenessBound+3) {
-						t.Errorf("response generation %d beyond staleness budget (primary was at %d, bound %d)", gen, lo, stalenessBound)
-						return
-					}
-				case http.StatusServiceUnavailable:
-					sheds.Add(1)
-					if resp.Header.Get("Retry-After") == "" {
-						t.Error("503 without Retry-After")
-						return
-					}
-					// Back off a beat on shed: a client that hammers a
-					// shedding front in a hot loop is its own chaos.
-					time.Sleep(2 * time.Millisecond)
-				default:
-					t.Errorf("client saw status %d — the error surface must be exactly {200, 503}", resp.StatusCode)
+				// +3 slack: generations published mid-flight, probe
+				// lag, and partition-heal catchup.
+				if err := pub.audit(resp, lo, stalenessBound, 3); err != nil {
+					t.Errorf("client %d: %v", c, err)
 					return
 				}
+				if resp.StatusCode == http.StatusOK {
+					oks.Add(1)
+					continue
+				}
+				sheds.Add(1)
+				// Back off a beat on shed: a client that hammers a
+				// shedding front in a hot loop is its own chaos.
+				time.Sleep(2 * time.Millisecond)
 			}
 		}(c)
 	}

@@ -8,14 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hftnetview/internal/serve"
-	"hftnetview/internal/store"
 	"hftnetview/internal/synth"
 )
 
@@ -58,24 +56,7 @@ func TestFleetChaosSoak(t *testing.T) {
 	// Primary: a store publishing fresh generations throughout, shipped
 	// over HTTP. The primary itself is never killed — E21 drills the
 	// serving fleet, and the store crash drill (E20) covers the writer.
-	pst, err := store.Open(t.TempDir(), store.WithSegmentTarget(32<<10), store.WithBlockLicenses(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pst.Close()
-	var published sync.Map // generation id → corpus digest
-	var latestGen atomic.Int64
-	record := func(gi *store.GenInfo) {
-		published.Store(gi.ID, gi.CorpusSHA256)
-		latestGen.Store(gi.ID)
-	}
-	gi, err := pst.Save(corpus(t), "soak seed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	record(gi)
-	primary := httptest.NewServer(NewShipper(pst))
-	defer primary.Close()
+	pst, pub, primary := newSoakPrimary(t, "soak seed")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -84,25 +65,7 @@ func TestFleetChaosSoak(t *testing.T) {
 	wg.Add(1)
 	go func() { // publisher: new generation + GC sweep on a steady cadence
 		defer wg.Done()
-		for n := 1; ; n++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(publishEvery):
-			}
-			gi, err := pst.Save(corpus(t), fmt.Sprintf("soak update %d", n))
-			if err != nil {
-				t.Errorf("publisher save %d: %v", n, err)
-				return
-			}
-			record(gi)
-			// GC races replica pulls by design: a swept generation must
-			// surface to pullers as a clean retry, never a bad install.
-			if _, err := pst.GC(4); err != nil {
-				t.Errorf("publisher gc: %v", err)
-				return
-			}
-		}
+		pub.publish(ctx, t, pst, publishEvery, new(atomic.Bool), "soak update")
 	}()
 
 	// Replicas: killable, restartable, each behind a corrupting wire.
@@ -211,7 +174,7 @@ func TestFleetChaosSoak(t *testing.T) {
 				// response must be within the staleness budget of it
 				// (plus slack for generations published mid-flight and
 				// the front's own probe lag).
-				lo := latestGen.Load()
+				lo := pub.latest.Load()
 				resp, err := client.Get(front.URL + queries[rng.IntN(len(queries))])
 				if err != nil {
 					t.Errorf("client %d: transport error through front: %v", c, err)
@@ -219,37 +182,14 @@ func TestFleetChaosSoak(t *testing.T) {
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-					oks.Add(1)
-					genHdr := resp.Header.Get("X-Corpus-Generation")
-					gen, err := strconv.ParseInt(genHdr, 10, 64)
-					if err != nil || gen <= 0 {
-						t.Errorf("200 with bad X-Corpus-Generation %q", genHdr)
-						return
-					}
-					wantDigest, ok := published.Load(gen)
-					if !ok {
-						t.Errorf("200 served generation %d the primary never published", gen)
-						return
-					}
-					if got := resp.Header.Get("X-Corpus-Digest"); got != wantDigest.(string) {
-						t.Errorf("generation %d served with digest %s, primary published %s — wrong corpus went live", gen, got, wantDigest)
-						return
-					}
-					if gen < lo-(stalenessBound+2) {
-						t.Errorf("response generation %d beyond staleness budget (primary was at %d, bound %d)", gen, lo, stalenessBound)
-						return
-					}
-				case http.StatusServiceUnavailable:
-					sheds.Add(1)
-					if resp.Header.Get("Retry-After") == "" {
-						t.Error("503 without Retry-After")
-						return
-					}
-				default:
-					t.Errorf("client saw status %d — the error surface must be exactly {200, 503}", resp.StatusCode)
+				if err := pub.audit(resp, lo, stalenessBound, 2); err != nil {
+					t.Errorf("client %d: %v", c, err)
 					return
+				}
+				if resp.StatusCode == http.StatusOK {
+					oks.Add(1)
+				} else {
+					sheds.Add(1)
 				}
 			}
 		}(c)

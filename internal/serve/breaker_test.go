@@ -156,7 +156,8 @@ func TestBreakerStaleOutcomeIgnored(t *testing.T) {
 // TestBreakerConcurrent: hammering Allow/done from many goroutines
 // stays race-free and the automaton's counters stay coherent.
 func TestBreakerConcurrent(t *testing.T) {
-	b, _ := testBreaker(5, time.Millisecond)
+	const cooldown = time.Millisecond
+	b, clk := testBreaker(5, cooldown)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -177,9 +178,11 @@ func TestBreakerConcurrent(t *testing.T) {
 		t.Fatalf("negative counters: %+v", st)
 	}
 	// Settle whatever state the storm left: the breaker must still be
-	// operable.
+	// operable. The fake clock moves one cooldown per try, so a storm
+	// that ended with the breaker open reaches its half-open probe.
 	deadline := time.Now().Add(time.Second)
 	for {
+		clk.Advance(cooldown)
 		done, err := b.Allow()
 		if err == nil {
 			done(false)

@@ -5,17 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
 	"hftnetview/internal/synth"
+	"hftnetview/internal/uls"
 )
-
-// shipFetch is a fetch closure over another store's raw reader — the
-// in-process stand-in for the HTTP segment download.
-func shipFetch(src *Store, id int64) func(name string) ([]byte, error) {
-	return func(name string) ([]byte, error) { return src.ReadSegmentRaw(id, name) }
-}
 
 func TestExportInstallRoundTrip(t *testing.T) {
 	db := corpus(t)
@@ -44,7 +40,7 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	}
 
 	replica := open(t, t.TempDir())
-	igi, idb, err := replica.Install(mb, shipFetch(primary, id))
+	igi, idb, err := stagedInstall(replica, mb, shipFetch(primary, id), nil)
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -65,13 +61,14 @@ func TestExportInstallRoundTrip(t *testing.T) {
 	}
 
 	// Re-installing the same generation is refused (idempotence).
-	if _, _, err := replica.Install(mb, shipFetch(primary, id)); !errors.Is(err, os.ErrExist) {
+	if _, _, err := stagedInstall(replica, mb, shipFetch(primary, id), nil); !errors.Is(err, os.ErrExist) {
 		t.Fatalf("re-install: err = %v, want os.ErrExist", err)
 	}
 }
 
 // TestInstallRejectsCorruptDownload flips bits in (or truncates) a
-// fetched segment and asserts Install refuses to commit anything.
+// fetched segment and asserts the staged install refuses to commit
+// anything.
 func TestInstallRejectsCorruptDownload(t *testing.T) {
 	db := corpus(t)
 	primary := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
@@ -88,7 +85,7 @@ func TestInstallRejectsCorruptDownload(t *testing.T) {
 		replica := open(t, t.TempDir())
 		target := gi.Segments[len(gi.Segments)/2].Name
 		fetch := func(name string) ([]byte, error) {
-			data, err := primary.ReadSegmentRaw(id, name)
+			data, err := shipFetch(primary, id)(name)
 			if err != nil || name != target {
 				return data, err
 			}
@@ -97,17 +94,27 @@ func TestInstallRejectsCorruptDownload(t *testing.T) {
 			}
 			return data[:len(data)/2], nil
 		}
-		_, _, err := replica.Install(mb, fetch)
+		_, _, err := stagedInstall(replica, mb, fetch, nil)
 		if !errors.Is(err, ErrVerify) {
 			t.Fatalf("%s: install err = %v, want ErrVerify", mode, err)
 		}
-		// Nothing committed, no temp debris.
+		// Nothing committed, no temp debris. The staging area stays for
+		// a resume, but holds nothing of the rejected segment.
 		if latest, _ := replica.LatestID(); latest != 0 {
 			t.Fatalf("%s: replica committed generation %d from corrupt download", mode, latest)
 		}
 		ents, _ := os.ReadDir(replica.Dir())
 		for _, e := range ents {
-			t.Errorf("%s: debris left in replica store: %s", mode, e.Name())
+			if e.Name() != stagingRootName {
+				t.Errorf("%s: debris left in replica store: %s", mode, e.Name())
+			}
+		}
+		rep, err := replica.StagingReportFor(id)
+		if err != nil {
+			t.Fatalf("%s: staging report: %v", mode, err)
+		}
+		if _, ok := rep.Partial[target]; ok || slices.Contains(rep.Verified, target) {
+			t.Errorf("%s: rejected segment %s survived in staging: %+v", mode, target, rep)
 		}
 	}
 }
@@ -138,7 +145,7 @@ func TestGCReaderRace(t *testing.T) {
 	if _, err := primary.GC(1); err != nil {
 		t.Fatalf("gc: %v", err)
 	}
-	if _, err := primary.ReadSegmentRaw(1, pgi.Segments[0].Name); !IsRetryable(err) {
+	if _, err := shipFetch(primary, 1)(pgi.Segments[0].Name); !IsRetryable(err) {
 		t.Fatalf("segment read after GC: err = %v, want retryable ErrGenGone", err)
 	}
 	if _, _, err := primary.ExportManifest(1); !IsRetryable(err) {
@@ -190,7 +197,24 @@ func TestGCReaderRace(t *testing.T) {
 			retried++
 			continue
 		}
-		_, idb, err := replica.Install(mb, shipFetch(primary, oldest))
+		// Read the whole generation before staging it. GC races the read
+		// side, which is what this test drills; staging fsyncs each
+		// segment as it lands, so a pull that interleaved the two would
+		// outlive every generation the churn keeps and never finish.
+		gi, err := ParseManifest(mb)
+		if err != nil {
+			t.Fatalf("pull %d: exported manifest does not parse: %v", i, err)
+		}
+		segs := make(map[string][]byte)
+		for _, si := range gi.Segments {
+			if segs[si.Name], err = shipFetch(primary, oldest)(si.Name); err != nil {
+				break
+			}
+		}
+		var idb *uls.Database
+		if err == nil {
+			_, idb, err = stagedInstall(replica, mb, func(name string) ([]byte, error) { return segs[name], nil }, nil)
+		}
 		switch {
 		case err == nil:
 			if !bytes.Equal(bulkBytes(t, idb), bulkBytes(t, db)) {

@@ -12,8 +12,8 @@ import (
 
 // Anti-entropy scrubbing.
 //
-// Install and boot verify a generation once; bit-rot after that point
-// is only caught when the generation is next loaded — which for a
+// InstallStaged and boot verify a generation once; bit-rot after that
+// point is only caught when the generation is next loaded — which for a
 // long-serving replica is never. The Scrubber closes that gap: a
 // throttled background walk over every committed generation running
 // the same deep ladder Fsck uses (exact size, whole-file SHA-256,
@@ -287,8 +287,8 @@ func (sc *Scrubber) clearMiss(id int64, what string) {
 // quarantine/ (when still present), the replacement is written and
 // fsynced beside the generation, then renamed into place with a
 // directory sync. It runs under the store lock so it cannot
-// interleave with Save, Install, or GC; a generation GC'd meanwhile
-// returns ErrGenGone untouched. A crash between the quarantine move
+// interleave with Save, InstallStaged, or GC; a generation GC'd
+// meanwhile returns ErrGenGone untouched. A crash between the quarantine move
 // and the rename leaves the segment missing — exactly the state
 // Load's fall-back and the next scrub cycle already handle.
 func (s *Store) repairSegment(id int64, si SegmentInfo, data []byte) (quarantined bool, err error) {

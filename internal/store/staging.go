@@ -17,10 +17,10 @@ import (
 
 // Delta shipping & resumable transfer.
 //
-// Install (export.go) downloads a whole generation in one shot: a kill,
-// partition, or slow link mid-pull discards every byte of progress, and
-// every pull re-fetches segments the replica already holds as part of
-// an earlier generation. The staging area fixes both:
+// Staging is the only way shipped bytes become a committed generation.
+// A pull must survive a kill, partition, or slow link without losing
+// its progress, and must not re-fetch segments the replica already
+// holds as part of an earlier generation. The staging area does both:
 //
 //	dir/staging/<gen-000007>/
 //	  MANIFEST.bin      the incoming manifest, verbatim, saved first
@@ -440,9 +440,6 @@ func linkOrCopy(src, dst string) error {
 
 // Info returns the staged generation's description.
 func (g *Staging) Info() GenInfo { return g.m.info() }
-
-// ManifestBytes returns the manifest this staging area was opened for.
-func (g *Staging) ManifestBytes() []byte { return g.manifestBytes }
 
 // Origin reports where one verified segment's bytes came from:
 // "fetched" (completed from a partial this staging wrote), "resumed"

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hftnetview/internal/uls"
 )
 
 // fetchLog records every simulated wire fetch a staged pull performs:
@@ -25,6 +27,9 @@ type fetchEntry struct {
 }
 
 func (l *fetchLog) add(name string, off int64) {
+	if l == nil {
+		return
+	}
 	l.entries = append(l.entries, fetchEntry{name, off})
 }
 
@@ -38,16 +43,35 @@ func (l *fetchLog) fetchesOf(name string) []fetchEntry {
 	return out
 }
 
-// stagedPull drives one staging area the way the fleet puller does —
-// resume partials, fetch missing ranges in chunks, verify, install —
-// against a local source store standing in for the wire. Any error
-// (including an injected crash) aborts mid-flight exactly like a kill,
-// leaving the staging area as-is.
-func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetchLog) error {
-	t.Helper()
+// shipFetch reads one committed segment of src through SegmentHandle,
+// the shipper's own read path: the in-process stand-in for the HTTP
+// segment download. A file swept by concurrent GC after the manifest
+// resolved is ErrGenGone, as the shipper's 404 + X-Gen-Gone is.
+func shipFetch(src *Store, id int64) func(name string) ([]byte, error) {
+	return func(name string) ([]byte, error) {
+		path, _, _, err := src.SegmentHandle(id, name)
+		if err != nil {
+			return nil, err
+		}
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("%w: generation %d segment %s", ErrGenGone, id, name)
+		}
+		return data, err
+	}
+}
+
+// stagedInstall ships one generation into dst the way the fleet puller
+// does: OpenStaging on the manifest, then for each missing segment
+// resume its partial, fetch the missing range and write it through
+// SegmentWriter in chunks, CompleteSegment, and finally InstallStaged.
+// fetch stands in for the wire; log, when non-nil, records every
+// fetch. Any error (including an injected crash) aborts mid-flight
+// exactly like a kill, leaving the staging area as-is.
+func stagedInstall(dst *Store, mb []byte, fetch func(name string) ([]byte, error), log *fetchLog) (*GenInfo, *uls.Database, error) {
 	stg, err := dst.OpenStaging(mb)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer stg.Close()
 	const chunk = 8 << 10
@@ -55,19 +79,19 @@ func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetc
 		off := stg.PartialSize(si.Name)
 		if off > si.Bytes {
 			if err := stg.ResetPartial(si.Name); err != nil {
-				return err
+				return nil, nil, err
 			}
 			off = 0
 		}
 		if off < si.Bytes {
-			data, err := src.ReadSegmentRaw(srcID, si.Name)
+			data, err := fetch(si.Name)
 			if err != nil {
-				return err
+				return nil, nil, fmt.Errorf("store: fetching segment %s: %w", si.Name, err)
 			}
 			log.add(si.Name, off)
 			w, werr := stg.SegmentWriter(si)
 			if werr != nil {
-				return werr
+				return nil, nil, werr
 			}
 			werr = func() error {
 				for pos := off; pos < int64(len(data)); pos += chunk {
@@ -80,15 +104,14 @@ func stagedPull(t *testing.T, dst, src *Store, srcID int64, mb []byte, log *fetc
 			}()
 			w.Close()
 			if werr != nil {
-				return werr
+				return nil, nil, werr
 			}
 		}
 		if err := stg.CompleteSegment(si); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
-	_, _, err = dst.InstallStaged(stg)
-	return err
+	return dst.InstallStaged(stg)
 }
 
 // crashBudget arms every staging failpoint with a shared countdown:
@@ -154,7 +177,7 @@ func TestStagingCrashRecovery(t *testing.T) {
 			dst := open(t, t.TempDir(), WithStagingFailpoints(budget.points()))
 			log := &fetchLog{}
 
-			err := stagedPull(t, dst, src, gi.ID, mb, log)
+			_, _, err := stagedInstall(dst, mb, shipFetch(src, gi.ID), log)
 			crashed := errors.Is(err, ErrFailpoint)
 			if err != nil && !crashed {
 				t.Fatalf("first pull failed outside the injected crash: %v", err)
@@ -185,7 +208,7 @@ func TestStagingCrashRecovery(t *testing.T) {
 				}
 
 				mark := len(log.entries)
-				if rerr := stagedPull(t, dst, src, gi.ID, mb, log); rerr != nil {
+				if _, _, rerr := stagedInstall(dst, mb, shipFetch(src, gi.ID), log); rerr != nil {
 					t.Fatalf("resume pull: %v", rerr)
 				}
 				for _, e := range log.entries[mark:] {
@@ -258,7 +281,7 @@ func TestStagingPoisonedPartialNeverTrusted(t *testing.T) {
 	// reject the assembled segment, because the surviving prefix never
 	// re-earned trust.
 	log := &fetchLog{}
-	err = stagedPull(t, dst, src, gi.ID, mb, log)
+	_, _, err = stagedInstall(dst, mb, shipFetch(src, gi.ID), log)
 	if !errors.Is(err, ErrVerify) {
 		t.Fatalf("pull over a poisoned partial = %v, want ErrVerify", err)
 	}
@@ -272,7 +295,7 @@ func TestStagingPoisonedPartialNeverTrusted(t *testing.T) {
 	}
 
 	// Next pull starts the segment from zero and converges.
-	if err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
+	if _, _, err := stagedInstall(dst, mb, shipFetch(src, gi.ID), log); err != nil {
 		t.Fatalf("clean retry: %v", err)
 	}
 	if fs := log.fetchesOf(si.Name); fs[len(fs)-1].off != 0 {
@@ -305,7 +328,7 @@ func TestStagingDeltaReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &fetchLog{}
-	if err := stagedPull(t, dst, src, 1, mb1, log); err != nil {
+	if _, _, err := stagedInstall(dst, mb1, shipFetch(src, 1), log); err != nil {
 		t.Fatal(err)
 	}
 	wireFetches := len(log.entries)
@@ -367,7 +390,7 @@ func TestStagingAbandonOnDigestChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := giA.Segments[0]
-	data, _ := srcA.ReadSegmentRaw(giA.ID, si.Name)
+	data, _ := shipFetch(srcA, giA.ID)(si.Name)
 	w, _ := stg.SegmentWriter(si)
 	w.Write(data)
 	w.Close()
@@ -425,7 +448,7 @@ func TestStagingJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := gi.Segments[0]
-	data, _ := src.ReadSegmentRaw(gi.ID, si.Name)
+	data, _ := shipFetch(src, gi.ID)(si.Name)
 	w, _ := stg.SegmentWriter(si)
 	w.Write(data)
 	w.Close()
@@ -444,7 +467,7 @@ func TestStagingJournalTornTail(t *testing.T) {
 	f.Close()
 
 	log := &fetchLog{}
-	if err := stagedPull(t, dst, src, gi.ID, mb, log); err != nil {
+	if _, _, err := stagedInstall(dst, mb, shipFetch(src, gi.ID), log); err != nil {
 		t.Fatalf("resume over torn journal: %v", err)
 	}
 	if fs := log.fetchesOf(si.Name); len(fs) != 0 {
@@ -499,10 +522,9 @@ func TestStagingGCSweep(t *testing.T) {
 	}
 
 	dst := open(t, t.TempDir())
-	// Install gen 1 the classic way, then open (and abandon) staging
-	// progress for gen 2.
+	// Install gen 1, then open (and abandon) staging progress for gen 2.
 	mb1, _, _ := src.ExportManifest(1)
-	if _, _, err := dst.Install(mb1, shipFetch(src, 1)); err != nil {
+	if _, _, err := stagedInstall(dst, mb1, shipFetch(src, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	mb2, _, _ := src.ExportManifest(gi2.ID)
@@ -546,7 +568,7 @@ func TestStagingGCSweep(t *testing.T) {
 }
 
 // TestOpenStagingRefusesCommitted: a generation this store already
-// holds is os.ErrExist, mirroring Install's idempotence contract.
+// holds is os.ErrExist, mirroring InstallStaged's idempotence contract.
 func TestOpenStagingRefusesCommitted(t *testing.T) {
 	db := corpus(t)
 	src := open(t, t.TempDir(), WithSegmentTarget(16<<10), WithBlockLicenses(8))
@@ -556,7 +578,7 @@ func TestOpenStagingRefusesCommitted(t *testing.T) {
 	}
 	mb, _, _ := src.ExportManifest(gi.ID)
 	dst := open(t, t.TempDir())
-	if _, _, err := dst.Install(mb, shipFetch(src, gi.ID)); err != nil {
+	if _, _, err := stagedInstall(dst, mb, shipFetch(src, gi.ID), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.OpenStaging(mb); !errors.Is(err, os.ErrExist) {
